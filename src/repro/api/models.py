@@ -529,7 +529,18 @@ class AnnModel(BaseMatchModel):
         return self.transformer.to_corpus(points)
 
     def encode_queries(self, points) -> list[Query]:
-        return self.transformer.to_queries(np.atleast_2d(np.asarray(points)))
+        points = np.atleast_2d(np.asarray(points))
+        dim = self.transformer.family.dim
+        if dim is not None:
+            # A vector family hashes finite (n, dim) points; anything else
+            # would fail deep in the projection or hash NaN to garbage.
+            if points.ndim != 2 or points.shape[1] != dim:
+                raise QueryError(
+                    f"query points must have shape (n, {dim}), got {points.shape}"
+                )
+            if points.dtype.kind not in "biuf" or not np.isfinite(points).all():
+                raise QueryError("query points must be finite numbers")
+        return self.transformer.to_queries(points)
 
     def finalize(self, raw_queries, queries, results, *, k: int, host: HostCpu) -> list[tuple]:
         m = float(self.num_functions)

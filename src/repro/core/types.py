@@ -135,9 +135,15 @@ class Query:
         """Build a query with one single-keyword item per keyword.
 
         This is the shape LSH- and SA-transformed queries take: each hash
-        signature / n-gram is its own item.
+        signature / n-gram is its own item. Duplicates stay separate
+        items. The keywords are validated once and copied once, so no
+        item aliases the caller's storage.
         """
-        return cls(items=list(as_keyword_array(keywords).reshape(-1, 1)))
+        owned = as_keyword_array(keywords).copy()
+        query = cls.__new__(cls)  # items are canonical: skip per-item checks
+        query.items = list(owned.reshape(-1, 1))
+        query._count_bound = None
+        return query
 
     @property
     def num_items(self) -> int:

@@ -35,12 +35,20 @@ class IndexError_(ReproError):
     """Raised when an inverted index is built from or queried with bad input."""
 
 
-class QueryError(ReproError):
-    """Raised when a query is malformed for the index it is issued against."""
+class QueryError(ReproError, ValueError):
+    """Raised when a query is malformed for the index it is issued against.
+
+    Also a ``ValueError``, so callers written against the builtin
+    argument-error type keep catching it.
+    """
 
 
-class ConfigError(ReproError):
-    """Raised when an engine or structure is configured inconsistently."""
+class ConfigError(ReproError, ValueError):
+    """Raised when an engine or structure is configured inconsistently.
+
+    Also a ``ValueError``, so callers written against the builtin
+    argument-error type keep catching it.
+    """
 
 
 class InvariantError(ReproError):

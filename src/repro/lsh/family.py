@@ -16,17 +16,24 @@ import abc
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 class LshFamily(abc.ABC):
     """A set of ``m`` locality-sensitive hash functions over points.
 
     Attributes:
         num_functions: Number of hash functions ``m``.
+        dim: Point dimensionality of a vector family, whose points are
+            rows of a finite ``(n, dim)`` float array; ``None`` for a
+            family over another point type (MinHash hashes sets).
     """
+
+    dim: int | None = None
 
     def __init__(self, num_functions: int, seed: int = 0):
         if num_functions < 1:
-            raise ValueError("num_functions must be >= 1")
+            raise ConfigError("num_functions must be >= 1")
         self.num_functions = int(num_functions)
         self.seed = int(seed)
 

@@ -78,22 +78,29 @@ def _fmix32_vec(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint32(16))
 
 
-def murmur3_int64(values: np.ndarray, seed: int = 0) -> np.ndarray:
+def _seed_u32(seed) -> np.ndarray:
+    """A seed or seed array reduced to its low 32 bits."""
+    return (np.asarray(seed, dtype=np.int64) & _MASK).astype(np.uint32)
+
+
+def murmur3_int64(values: np.ndarray, seed=0) -> np.ndarray:
     """Vectorized MurmurHash3_x86_32 of each int64 as an 8-byte little-endian key.
 
-    Bit-identical to ``murmur3_32(value.tobytes(), seed)`` element-wise.
+    Bit-identical to ``murmur3_32(value.tobytes(), s)`` element-wise, with
+    ``s`` the element of ``seed`` broadcast against the value: an ``(n, m)``
+    block under an ``(m,)`` seed row hashes ``m`` functions in one pass.
 
     Args:
         values: Array of int64 keys.
-        seed: 32-bit seed.
+        seed: 32-bit seed, or a seed array broadcasting against ``values``.
 
     Returns:
-        ``uint32`` array of hashes.
+        ``uint32`` array of hashes, of the broadcast shape.
     """
     vals = np.asarray(values, dtype=np.int64).view(np.uint64)
     low = (vals & np.uint64(_MASK)).astype(np.uint32)
     high = (vals >> np.uint64(32)).astype(np.uint32)
-    h = np.full(vals.shape, np.uint32(seed & _MASK), dtype=np.uint32)
+    h = _seed_u32(seed)  # broadcasts to the full shape in the first round
     with np.errstate(over="ignore"):
         for block in (low, high):
             k = block * _C1
@@ -106,26 +113,28 @@ def murmur3_int64(values: np.ndarray, seed: int = 0) -> np.ndarray:
         return _fmix32_vec(h)
 
 
-def hash_combine(values: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Reduce a 2-D array of int64 components to one hash per row.
+def hash_combine(values: np.ndarray, seed=0) -> np.ndarray:
+    """Reduce int64 component vectors along the last axis to one hash each.
 
     Used to hash multi-dimensional LSH signatures (e.g. Random Binning
     Hashing's per-dimension grid coordinates) into a single 32-bit value:
-    each column is murmur-mixed into a running per-row state.
+    all components are murmur-mixed in one pass, then folded into a
+    running state.
 
     Args:
-        values: ``(n, d)`` int64 array.
-        seed: Seed of the first mixing round.
+        values: ``(..., d)`` int64 array; a 1-D array is read as ``(n, 1)``.
+        seed: Seed of the first mixing round, or a seed array broadcasting
+            against ``values.shape[:-1]`` (e.g. one per function).
 
     Returns:
-        ``uint32`` array of length ``n``.
+        ``uint32`` array of shape ``values.shape[:-1]``.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[:, None]
-    state = np.full(arr.shape[0], np.uint32(seed & _MASK), dtype=np.uint32)
+    mixed = murmur3_int64(arr)
+    state = np.full(arr.shape[:-1], _seed_u32(seed), dtype=np.uint32)
     with np.errstate(over="ignore"):
-        for j in range(arr.shape[1]):
-            mixed = murmur3_int64(arr[:, j], seed=0)
-            state = _fmix32_vec(state * np.uint32(31) + mixed)
+        for j in range(arr.shape[-1]):
+            state = _fmix32_vec(state * np.uint32(31) + mixed[..., j])
     return state

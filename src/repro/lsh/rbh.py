@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError, QueryError
 from repro.lsh.family import LshFamily
 from repro.lsh.murmur import hash_combine
 
@@ -40,7 +41,7 @@ def estimate_kernel_width(points: np.ndarray, n_samples: int = 1000, seed: int =
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     if n < 2:
-        raise ValueError("need at least two points")
+        raise ConfigError("need at least two points")
     left = rng.integers(0, n, size=n_samples)
     right = rng.integers(0, n, size=n_samples)
     keep = left != right
@@ -63,7 +64,7 @@ class RandomBinningHash(LshFamily):
     def __init__(self, num_functions: int, dim: int, sigma: float, seed: int = 0):
         super().__init__(num_functions, seed)
         if sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         self.dim = int(dim)
         self.sigma = float(sigma)
         rng = np.random.default_rng(seed)
@@ -75,7 +76,7 @@ class RandomBinningHash(LshFamily):
         """Raw grid signatures: ``(n, m, d)`` integer coordinates (Eqn. 2)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {points.shape[1]}")
+            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
         # (n, 1, d) against (m, d) broadcast to (n, m, d).
         cells = np.floor((points[:, None, :] - self._shift[None, :, :]) / self._pitch[None, :, :])
         return cells.astype(np.int64)
@@ -85,18 +86,16 @@ class RandomBinningHash(LshFamily):
 
         The d-dimensional coordinate vector is murmur-combined; equal grid
         cells always fold to equal integers, so LSH collisions survive.
-        Points are processed in chunks to bound the ``(n, m, d)``
-        intermediate.
+        Each chunk's whole ``(n, m, d)`` cell block is folded in one
+        :func:`hash_combine` call; chunking bounds that intermediate.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = points.shape[0]
+        seeds = np.arange(1, self.num_functions + 1)  # function j folds under seed j + 1
         folded = np.empty((n, self.num_functions), dtype=np.int64)
         for start in range(0, n, chunk):
             cells = self.grid_coordinates(points[start : start + chunk])
-            for j in range(self.num_functions):
-                folded[start : start + chunk, j] = hash_combine(
-                    cells[:, j, :], seed=j + 1
-                ).astype(np.int64)
+            folded[start : start + chunk] = hash_combine(cells, seed=seeds)
         return folded
 
     def similarity(self, p: np.ndarray, q: np.ndarray) -> float:

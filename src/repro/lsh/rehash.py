@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError, QueryError
 from repro.lsh.murmur import murmur3_int64
 
 
 class ReHasher:
     """Per-function random projections from signatures to ``[0, domain)``.
+
+    Function ``j`` projects with MurmurHash3 under its own seed, modulo
+    ``domain``; one :func:`murmur3_int64` call hashes all ``m`` columns.
 
     Args:
         num_functions: Number of LSH functions being re-hashed (each gets
@@ -27,9 +31,9 @@ class ReHasher:
 
     def __init__(self, num_functions: int, domain: int, seed: int = 0):
         if num_functions < 1:
-            raise ValueError("num_functions must be >= 1")
+            raise ConfigError("num_functions must be >= 1")
         if domain < 1:
-            raise ValueError("domain must be >= 1")
+            raise ConfigError("domain must be >= 1")
         self.num_functions = int(num_functions)
         self.domain = int(domain)
         rng = np.random.default_rng(seed)
@@ -43,17 +47,17 @@ class ReHasher:
 
         Returns:
             ``(n, num_functions)`` int64 buckets in ``[0, domain)``.
+
+        Raises:
+            QueryError: If the matrix does not have ``num_functions`` columns.
         """
         signatures = np.atleast_2d(np.asarray(signatures, dtype=np.int64))
         if signatures.shape[1] != self.num_functions:
-            raise ValueError(
+            raise QueryError(
                 f"expected {self.num_functions} signature columns, got {signatures.shape[1]}"
             )
-        buckets = np.empty_like(signatures)
-        for j in range(self.num_functions):
-            hashed = murmur3_int64(signatures[:, j], seed=int(self._seeds[j]))
-            buckets[:, j] = (hashed % np.uint32(self.domain)).astype(np.int64)
-        return buckets
+        hashed = murmur3_int64(signatures, seed=self._seeds[None, :])
+        return (hashed % np.uint32(self.domain)).astype(np.int64)
 
     def keywords(self, signatures: np.ndarray) -> np.ndarray:
         """Re-hash and offset each function into its own keyword range.

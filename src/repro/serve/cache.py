@@ -44,7 +44,7 @@ def make_cache_key(index: str, query: Query, k: int, opts_key: tuple, raw=None) 
             unseen grams — so two raw queries with equal encodings could
             otherwise be served each other's verified payload.
     """
-    items = tuple(tuple(int(kw) for kw in item) for item in query.items)
+    items = tuple(tuple(item.tolist()) for item in query.items)
     return (index, items, int(k), opts_key, raw)
 
 
